@@ -6,9 +6,14 @@
 // BM_ScaleUsers boots the full OKWS world at 10^3 / 10^4 / 10^5 users
 // (10^6 with --full) with session parking and scale accounting ON, drives
 // two passes over every user (login + resume-from-park), and reports the
-// kernel's total bytes over distinct users. After the runs, main() asserts
-// the flatness contract: bytes_per_user may grow at most 1.25× from 10^4 to
-// 10^5 users. `--smoke` keeps CI to the 10^3/10^4 decades.
+// kernel's total bytes over distinct users, the host time per connection,
+// and the entries the label intern table hashed in bulk per connection.
+// After the runs, main() asserts the flatness contract: from each measured
+// decade to the next, bytes_per_user and intern_entries_hashed_per_conn may
+// each grow at most 1.25×. host_ns_per_conn is reported, not gated: wall
+// time on shared machines is too noisy for a hard bound, and the hashed
+// count is its deterministic proxy. `--smoke` keeps CI to the 10^3/10^4
+// decades.
 //
 // The examples/ scenarios (mail-reader §5.5, MLS §5.2) ride along as a
 // measured scenario matrix — each iteration re-proves the paper's flow
@@ -19,8 +24,10 @@
 // BENCH_scale.metrics.json registry snapshot.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <map>
 #include <string>
 #include <string_view>
@@ -33,9 +40,14 @@
 namespace asbestos {
 namespace {
 
-// bytes_per_user by decade, for the post-run flatness assertion.
-std::map<uint64_t, double>& BytesPerUserByDecade() {
-  static std::map<uint64_t, double> m;
+// The gated counters by decade, for the post-run flatness assertion.
+struct DecadeCounters {
+  double bytes_per_user = 0;
+  double intern_entries_hashed_per_conn = 0;
+};
+
+std::map<uint64_t, DecadeCounters>& CountersByDecade() {
+  static std::map<uint64_t, DecadeCounters> m;
   return m;
 }
 
@@ -61,9 +73,12 @@ void BM_ScaleUsers(benchmark::State& state) {
     std::abort();
   }
   const double bytes_per_user = result.BytesPerUser();
-  BytesPerUserByDecade()[users] = bytes_per_user;
+  const double hashed_per_conn = result.InternEntriesHashedPerConn();
+  CountersByDecade()[users] = {bytes_per_user, hashed_per_conn};
   state.counters["users"] = static_cast<double>(users);
   state.counters["bytes_per_user"] = bytes_per_user;
+  state.counters["host_ns_per_conn"] = result.HostNsPerConn();
+  state.counters["intern_entries_hashed_per_conn"] = hashed_per_conn;
   state.counters["total_bytes"] = static_cast<double>(result.mem_after_bytes);
   state.counters["session_bytes"] = static_cast<double>(result.session_bytes);
   state.counters["binding_bytes"] = static_cast<double>(result.binding_bytes);
@@ -118,34 +133,39 @@ BENCHMARK(BM_MailReaderScenario);
 BENCHMARK(BM_MlsScenario);
 
 // The flatness contract the JSON is asserted against before it is written:
-// per-user bytes may grow at most kMaxDecadeRatio from one measured decade
-// to the next (fixed world overhead amortizes downward; only genuine
+// each gated counter may grow at most kMaxDecadeRatio from one measured
+// decade to the next (fixed world overhead amortizes downward; only genuine
 // per-user growth could push the ratio up).
 constexpr double kMaxDecadeRatio = 1.25;
 
+bool CheckDecadeRatio(const char* counter, uint64_t lo_users, double lo, uint64_t hi_users,
+                      double hi) {
+  // Zero to zero is flat; zero to anything is unbounded growth.
+  const double ratio = lo > 0 ? hi / lo : (hi > 0 ? HUGE_VAL : 1.0);
+  std::printf("bench_scale: %s %llu -> %llu users: %.1f -> %.1f (%.3fx)\n", counter,
+              (unsigned long long)lo_users, (unsigned long long)hi_users, lo, hi, ratio);
+  if (ratio <= kMaxDecadeRatio) {
+    return true;
+  }
+  std::fprintf(stderr, "bench_scale: %s grew %.3fx from %llu to %llu users (contract: <= %.2fx)\n",
+               counter, ratio, (unsigned long long)lo_users, (unsigned long long)hi_users,
+               kMaxDecadeRatio);
+  return false;
+}
+
 bool CheckFlatness() {
-  const auto& by_decade = BytesPerUserByDecade();
+  const auto& by_decade = CountersByDecade();
   bool ok = true;
-  const std::pair<uint64_t, uint64_t> decade_pairs[] = {
-      {10000, 100000}, {100000, 1000000}};
-  for (const auto& [lo, hi] : decade_pairs) {
-    const auto l = by_decade.find(lo);
-    const auto h = by_decade.find(hi);
-    if (l == by_decade.end() || h == by_decade.end()) {
-      continue;  // decade not measured in this mode
+  for (auto hi = by_decade.begin(); hi != by_decade.end(); ++hi) {
+    if (hi == by_decade.begin()) {
+      continue;
     }
-    const double ratio = l->second > 0 ? h->second / l->second : 0;
-    std::printf("bench_scale: bytes_per_user %llu -> %llu users: %.1f -> %.1f (%.3fx)\n",
-                (unsigned long long)lo, (unsigned long long)hi, l->second, h->second,
-                ratio);
-    if (ratio > kMaxDecadeRatio) {
-      std::fprintf(stderr,
-                   "bench_scale: bytes_per_user grew %.3fx from %llu to %llu users "
-                   "(contract: <= %.2fx)\n",
-                   ratio, (unsigned long long)lo, (unsigned long long)hi,
-                   kMaxDecadeRatio);
-      ok = false;
-    }
+    const auto lo = std::prev(hi);
+    ok &= CheckDecadeRatio("bytes_per_user", lo->first, lo->second.bytes_per_user, hi->first,
+                           hi->second.bytes_per_user);
+    ok &= CheckDecadeRatio("intern_entries_hashed_per_conn", lo->first,
+                           lo->second.intern_entries_hashed_per_conn, hi->first,
+                           hi->second.intern_entries_hashed_per_conn);
   }
   return ok;
 }

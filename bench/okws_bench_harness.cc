@@ -1,6 +1,7 @@
 #include "bench/okws_bench_harness.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -9,6 +10,7 @@
 #include "src/base/strings.h"
 #include "src/kernel/address_space.h"
 #include "src/kernel/memstats.h"
+#include "src/labels/intern.h"
 #include "src/okws/okws_world.h"
 #include "src/okws/services.h"
 #include "src/sim/costs.h"
@@ -151,7 +153,12 @@ OkwsRunResult RunOkwsWorkload(const OkwsRunConfig& config) {
       }
     }
     (void)pass;
+    const uint64_t hashed_before = GetLabelInternStats().entries_hashed;
+    const auto host_start = std::chrono::steady_clock::now();
     world.RunClient(&client);
+    result.host_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - host_start).count();
+    result.intern_entries_hashed = GetLabelInternStats().entries_hashed - hashed_before;
 
     result.connections_completed = client.results().size();
     result.failures = client.failures();

@@ -75,6 +75,19 @@ struct OkwsRunResult {
 
   // Label-work telemetry (for calibration notes in EXPERIMENTS.md).
   uint64_t label_entries_visited = 0;
+
+  // Host cost of the workload (boot excluded): wall time of the client run
+  // and the entries the intern table hashed in bulk (never charged).
+  double host_seconds = 0;
+  uint64_t intern_entries_hashed = 0;
+  double HostNsPerConn() const {
+    return connections_completed == 0 ? 0 : host_seconds * 1e9 / connections_completed;
+  }
+  double InternEntriesHashedPerConn() const {
+    return connections_completed == 0
+               ? 0
+               : static_cast<double>(intern_entries_hashed) / connections_completed;
+  }
 };
 
 // Boots, primes nothing, runs the workload, reports. Deterministic. After

@@ -47,6 +47,8 @@ REQUIRED_COUNTERS = {
         "handle_table_bytes",
         "session_parks",
         "session_resumes",
+        "host_ns_per_conn",
+        "intern_entries_hashed_per_conn",
     ],
 }
 
@@ -123,26 +125,36 @@ def check_bench_file(path, errors):
 
 
 def check_scale_rows(base, benchmarks, errors):
-    """The flat-memory claim is read straight off the BM_ScaleUsers rows,
-    so *every* row in that family (not just one) must carry a positive
-    numeric bytes_per_user and users — a row that drops them would make
-    the per-decade ratio silently unverifiable."""
+    """The flat-memory and flat-host-work claims are read straight off the
+    BM_ScaleUsers rows, so *every* row in that family (not just one) must
+    carry a positive numeric bytes_per_user and users, and every parked
+    decade row (BM_ScaleUsers/<users>) also its host cost per connection —
+    a row that drops them would make the per-decade ratios silently
+    unverifiable."""
     rows = 0
     for bench in benchmarks:
-        if not bench.get("name", "").startswith("BM_ScaleUsers"):
+        name = bench.get("name", "")
+        if not name.startswith("BM_ScaleUsers"):
             continue
         if bench.get("run_type") == "aggregate":
             continue
         rows += 1
-        name = bench.get("name", "<unnamed>")
-        for counter in ("bytes_per_user", "users"):
+        required = {"bytes_per_user": 0, "users": 0}
+        if name.startswith("BM_ScaleUsers/"):
+            # A decade that hashes nothing in bulk is fine; one with no
+            # measured host time is not.
+            required.update({"host_ns_per_conn": 0, "intern_entries_hashed_per_conn": None})
+        for counter, floor in required.items():
             value = bench.get(counter)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 errors.append(
                     f"{base}: '{name}' counter '{counter}' is not numeric: {value!r}")
-            elif value <= 0:
+            elif floor is not None and value <= floor:
                 errors.append(
-                    f"{base}: '{name}' counter '{counter}' must be > 0, got {value}")
+                    f"{base}: '{name}' counter '{counter}' must be > {floor}, got {value}")
+            elif value < 0:
+                errors.append(
+                    f"{base}: '{name}' counter '{counter}' must be >= 0, got {value}")
     if rows == 0:
         errors.append(f"{base}: no BM_ScaleUsers rows found")
 

@@ -1,19 +1,17 @@
-// FNV-1a, 64-bit: the repo's one non-cryptographic hash.
-//
-// Two very different stability requirements share this function, which is
-// exactly why it lives in one place:
-//   * src/store routes keys to shards with it — there it is ON-DISK-FORMAT
-//     CRITICAL: a record must be found in the shard whose log holds it, so
-//     the constants and byte order below may never change (std::hash
-//     guarantees neither across runs/toolchains, which is why it is not
-//     used);
-//   * src/labels/intern.h buckets canonical label reps with it — in-memory
-//     only, but kept on the same implementation so nobody "cleans up" one
-//     copy assuming it is independent of the other.
+// The repo's non-cryptographic hashes, kept in one place because their
+// users have very different stability requirements:
+//   * Fnv1a (byte-wise FNV-1a, 64-bit) has one user: src/store routes keys
+//     to shards with it. That is ON-DISK-FORMAT CRITICAL — a record must be
+//     found in the shard whose log holds it, so the constants and byte order
+//     below may never change (std::hash guarantees neither across
+//     runs/toolchains, which is why it is not used).
+//   * HashMix64 is the in-memory word mixer. Its users are the label intern
+//     table (src/labels/intern.h sums one mix per entry) and the kernel's
+//     check-cache set selection (src/kernel/label_checks.cc); both only
+//     borrow kFnv1aOffsetBasis as a seed constant and may change freely.
 #ifndef SRC_BASE_HASH_H_
 #define SRC_BASE_HASH_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -22,18 +20,13 @@ namespace asbestos {
 constexpr uint64_t kFnv1aOffsetBasis = 0xcbf29ce484222325ULL;
 constexpr uint64_t kFnv1aPrime = 0x100000001b3ULL;
 
-// Folds `n` raw bytes into `h`. Chainable: pass a previous result as `h`.
-inline uint64_t Fnv1aBytes(const void* data, size_t n, uint64_t h = kFnv1aOffsetBasis) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    h ^= p[i];
+// Folds the bytes of `s` into `h`. Chainable: pass a previous result as `h`.
+inline uint64_t Fnv1a(std::string_view s, uint64_t h = kFnv1aOffsetBasis) {
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
     h *= kFnv1aPrime;
   }
   return h;
-}
-
-inline uint64_t Fnv1a(std::string_view s, uint64_t h = kFnv1aOffsetBasis) {
-  return Fnv1aBytes(s.data(), s.size(), h);
 }
 
 // Word-at-a-time mixer for IN-MEMORY hashing of u64 sequences (label intern

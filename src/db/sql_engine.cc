@@ -67,11 +67,6 @@ Status SqlTable::AddIndex(const std::string& column) {
   return Status::kOk;
 }
 
-bool SqlTable::HasIndex(const std::string& column) const {
-  const int ci = ColumnIndex(column);
-  return ci >= 0 && indexes_.count(ci) != 0;
-}
-
 Status SqlTable::InsertRow(std::vector<SqlValue> row) {
   ASB_ASSERT(row.size() == columns_.size());
   // Enforce primary-key uniqueness.
@@ -94,39 +89,36 @@ Status SqlTable::InsertRow(std::vector<SqlValue> row) {
   return Status::kOk;
 }
 
-bool SqlTable::RowMatches(const std::vector<SqlValue>& row,
-                          const std::vector<SqlPredicate>& where) const {
-  for (const SqlPredicate& p : where) {
-    const int ci = ColumnIndex(p.column);
-    if (ci < 0) {
-      return false;
-    }
-    if (!CompareMatches(row[static_cast<size_t>(ci)].Compare(p.literal), p.op)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 std::vector<SqlTable::RowId> SqlTable::Scan(const std::vector<SqlPredicate>& where,
                                             QueryResult* stats) const {
-  // Pick an indexed equality predicate if one exists; otherwise full scan.
+  // Resolve each predicate's column once per scan, not once per row. An
+  // unknown column matches no row; the rows are still visited and charged.
+  std::vector<std::pair<int, const SqlPredicate*>> bound;
+  bool bindable = true;
   for (const SqlPredicate& p : where) {
-    if (p.op != SqlCompare::kEq) {
-      continue;
+    bound.emplace_back(ColumnIndex(p.column), &p);
+    bindable = bindable && bound.back().first >= 0;
+  }
+  const auto matches = [&](const std::vector<SqlValue>& row) {
+    for (const auto& [ci, p] : bound) {
+      if (!bindable || !CompareMatches(row[static_cast<size_t>(ci)].Compare(p->literal), p->op)) {
+        return false;
+      }
     }
-    const int ci = ColumnIndex(p.column);
+    return true;
+  };
+  // Pick an indexed equality predicate if one exists; otherwise full scan.
+  for (const auto& [ci, p] : bound) {
     auto idx = indexes_.find(ci);
-    if (ci < 0 || idx == indexes_.end()) {
+    if (p->op != SqlCompare::kEq || ci < 0 || idx == indexes_.end()) {
       continue;
     }
     stats->index_probes += 1;
     std::vector<RowId> out;
-    auto [lo, hi] = idx->second.equal_range(p.literal.AsText());
+    auto [lo, hi] = idx->second.equal_range(p->literal.AsText());
     for (auto it = lo; it != hi; ++it) {
       stats->rows_visited += 1;
-      const auto& row = rows_.at(it->second);
-      if (RowMatches(row, where)) {
+      if (matches(rows_.at(it->second))) {
         out.push_back(it->second);
       }
     }
@@ -135,7 +127,7 @@ std::vector<SqlTable::RowId> SqlTable::Scan(const std::vector<SqlPredicate>& whe
   std::vector<RowId> out;
   for (const auto& [rid, row] : rows_) {
     stats->rows_visited += 1;
-    if (RowMatches(row, where)) {
+    if (matches(row)) {
       out.push_back(rid);
     }
   }

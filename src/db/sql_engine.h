@@ -33,7 +33,6 @@ class SqlTable {
   uint64_t approx_bytes() const { return approx_bytes_; }
 
   Status AddIndex(const std::string& column);
-  bool HasIndex(const std::string& column) const;
 
  private:
   friend class SqlDatabase;
@@ -43,8 +42,6 @@ class SqlTable {
   Status InsertRow(std::vector<SqlValue> row);  // full-width, schema order
   // Row ids matching the predicates, using an index when one applies.
   std::vector<RowId> Scan(const std::vector<SqlPredicate>& where, QueryResult* stats) const;
-  bool RowMatches(const std::vector<SqlValue>& row,
-                  const std::vector<SqlPredicate>& where) const;
 
   std::vector<SqlColumnDef> columns_;
   std::map<RowId, std::vector<SqlValue>> rows_;
@@ -60,7 +57,6 @@ class SqlDatabase {
   Result<QueryResult> ExecuteStmt(const SqlStatement& stmt);
 
   SqlTable* FindTable(const std::string& name);
-  bool HasTable(const std::string& name) const { return tables_.count(name) != 0; }
   // Total estimated storage, for memory accounting.
   uint64_t approx_bytes() const;
 

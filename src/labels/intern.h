@@ -9,7 +9,8 @@
 // on a hit the existing canonical rep is shared, on a miss the fresh rep is
 // registered as canonical. Store recovery of N records carrying the same
 // label therefore allocates one rep, and the kernel can treat label identity
-// as a pointer comparison.
+// as a pointer comparison. Label::Canonicalize re-keys a private rep the
+// same way, probing with the hash the rep maintains (InternHashTerm below).
 //
 // Identity contract (what the kernel's check cache relies on):
 //   * every rep carries a 64-bit id, unique since process start;
@@ -42,16 +43,21 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "src/base/hash.h"
+
 namespace asbestos {
 
 // Cumulative interning counters. `hits` are constructions that reused a live
 // canonical rep instead of allocating (`bytes_saved` sums the rep + chunk
 // heap they avoided); `misses` registered a new canonical rep.
+// `entries_hashed` counts entries hashed in bulk by InternHashEntries (flat
+// constructions only; host work, never charged).
 struct LabelInternStats {
   uint64_t probes = 0;
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t bytes_saved = 0;
+  uint64_t entries_hashed = 0;
   int64_t live_canonical = 0;  // reps currently registered in the table
 };
 
@@ -66,8 +72,24 @@ struct LabelRep;  // defined in label.cc
 // Monotonic rep-id source (never reuses a value; 0 is never issued).
 uint64_t InternNextRepId();
 
-// FNV-1a over the default level and the packed entry array — the structural
-// hash the intern table buckets on.
+// The structural hash the intern table buckets on: a seed for the default
+// level plus the wrapping SUM of one HashMix64 term per packed entry.
+//   * Order-independent: the sum does not care which chunk an entry sits in
+//     or in what order entries were inserted, so a rep built by Set and one
+//     packed from a flat array agree.
+//   * Updatable in O(1): every rep (not only interned ones) carries its hash
+//     in LabelRep::struct_hash, and Set adds/subtracts the one or two terms
+//     it changes; Canonicalize then probes without touching the entries.
+//   * Never trusted alone: a bucket hit is always confirmed by a full
+//     structural compare, and only a mismatch may be decided by hash.
+inline uint64_t InternHashSeed(uint8_t default_ordinal) {
+  return HashMix64(kFnv1aOffsetBasis, default_ordinal);
+}
+inline uint64_t InternHashTerm(uint64_t packed_entry) {
+  return HashMix64(kFnv1aOffsetBasis, packed_entry);
+}
+
+// The same hash over a flat sorted entry array (counts `entries_hashed`).
 uint64_t InternHashEntries(uint8_t default_ordinal, const uint64_t* entries, size_t count);
 
 // Probes the table bucket for `hash`, calling `match` on each candidate

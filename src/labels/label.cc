@@ -93,7 +93,9 @@ struct LabelRep {
   // re-assigned on every in-place mutation, so a given id value names one
   // extensional content forever.
   uint64_t id = 0;
-  uint64_t struct_hash = 0;  // valid only when in_table
+  // Additive structural hash of the content (intern.h), maintained on every
+  // rep through NewRep/CloneRep/Set, so interning never re-hashes entries.
+  uint64_t struct_hash = 0;
   // Canonical reps are immutable: MutableRep clones them even at refcount 1.
   bool interned = false;
   bool in_table = false;  // registered in the intern table (unlike the
@@ -118,6 +120,7 @@ LabelRep* NewRep(Level default_level) {
   rep->min_level = default_level;
   rep->max_level = default_level;
   rep->id = InternNextRepId();
+  rep->struct_hash = InternHashSeed(LevelOrdinal(default_level));
   g_mem.live_bytes += static_cast<int64_t>(kRepBytes);
   g_mem.live_reps += 1;
   return rep;
@@ -156,6 +159,7 @@ LabelRep* CloneRep(const LabelRep* rep) {
   LabelRep* copy = NewRep(rep->default_level);
   copy->min_level = rep->min_level;
   copy->max_level = rep->max_level;
+  copy->struct_hash = rep->struct_hash;
   for (int i = 0; i < 5; ++i) {
     copy->level_counts[i] = rep->level_counts[i];
   }
@@ -242,7 +246,7 @@ LabelRepRef PackSortedEntries(Level default_level, const uint64_t* entries, size
 }
 
 // Structural comparison of a canonical-rep candidate against a flat sorted
-// entry array — the intern probe's equality check.
+// entry array — the intern probe's equality check for flat constructions.
 struct FlatMatchCtx {
   Level default_level;
   const uint64_t* entries;
@@ -270,6 +274,72 @@ bool MatchRepAgainstFlat(const LabelRep* rep, const void* vctx) {
   return c.done();
 }
 
+// Extensional equality of two reps. Summaries (hash, default, extrema,
+// histogram) reject in O(1); a match is only ever confirmed by the entry
+// walk, which skips pointer-identical chunks at a chunk boundary (a COW
+// clone that diverged in one chunk still shares the others).
+bool SameContent(const LabelRep* a, const LabelRep* b) {
+  if (a->struct_hash != b->struct_hash || a->default_level != b->default_level ||
+      a->min_level != b->min_level || a->max_level != b->max_level) {
+    return false;
+  }
+  for (int i = 0; i < 5; ++i) {
+    if (a->level_counts[i] != b->level_counts[i]) {
+      return false;
+    }
+  }
+  size_t ai = 0;
+  size_t bi = 0;
+  uint16_t aj = 0;
+  uint16_t bj = 0;
+  const auto& achunks = a->chunks;
+  const auto& bchunks = b->chunks;
+  for (;;) {
+    while (ai < achunks.size() && aj >= achunks[ai]->size) {
+      ++ai;
+      aj = 0;
+    }
+    while (bi < bchunks.size() && bj >= bchunks[bi]->size) {
+      ++bi;
+      bj = 0;
+    }
+    const bool a_done = ai >= achunks.size();
+    const bool b_done = bi >= bchunks.size();
+    if (a_done || b_done) {
+      return a_done && b_done;
+    }
+    if (aj == 0 && bj == 0 && achunks[ai] == bchunks[bi]) {
+      ++ai;
+      ++bi;
+      continue;
+    }
+    if (achunks[ai]->entries[aj] != bchunks[bi]->entries[bj]) {
+      return false;
+    }
+    ++aj;
+    ++bj;
+  }
+}
+
+bool MatchRepAgainstRep(const LabelRep* candidate, const void* ctx) {
+  return SameContent(candidate, static_cast<const LabelRep*>(ctx));
+}
+
+// A probe hit: share the live canonical rep.
+LabelRepRef ShareCanonical(LabelRep* canonical) {
+  InternNoteDedup(RepHeapBytes(canonical));  // same layout a fresh pack would use
+  ++canonical->refcount;
+  return LabelRepRef(canonical);
+}
+
+// A probe miss: `rep` becomes the canonical rep for its content — no copy,
+// just the immutability promise (future mutations clone, per MutableRep).
+void RegisterCanonical(LabelRep* rep) {
+  rep->interned = true;
+  rep->in_table = true;
+  InternInsert(rep->struct_hash, rep);
+}
+
 // The hash-consing funnel (see intern.h): every completed construction from
 // sorted entries lands here. A live canonical rep with the same content is
 // shared; otherwise the freshly packed rep is registered as canonical.
@@ -283,40 +353,13 @@ LabelRepRef InternSortedEntries(Level default_level, const uint64_t* entries, si
   const uint64_t hash = InternHashEntries(LevelOrdinal(default_level), entries, count);
   const FlatMatchCtx ctx{default_level, entries, count, level_counts};
   if (LabelRep* canonical = InternLookup(hash, MatchRepAgainstFlat, &ctx)) {
-    InternNoteDedup(RepHeapBytes(canonical));  // same layout a fresh pack would use
-    ++canonical->refcount;
-    return LabelRepRef(canonical);
+    return ShareCanonical(canonical);
   }
   LabelRepRef rep = PackSortedEntries(default_level, entries, count, level_counts);
   rep.get()->struct_hash = hash;
-  rep.get()->interned = true;
-  rep.get()->in_table = true;
-  InternInsert(hash, rep.get());
+  RegisterCanonical(rep.get());
   return rep;
 }
-
-// Accumulates sorted packed entries and packs them into chunks.
-class RepBuilder {
- public:
-  explicit RepBuilder(Level default_level) : default_level_(default_level) {}
-
-  void Append(Handle h, Level l) {
-    if (l == default_level_) {
-      return;  // entries never duplicate the default
-    }
-    level_counts_[LevelOrdinal(l)] += 1;
-    entries_.push_back(PackEntry(h, l));
-  }
-
-  LabelRepRef Finish() {
-    return InternSortedEntries(default_level_, entries_.data(), entries_.size(), level_counts_);
-  }
-
- private:
-  Level default_level_;
-  uint64_t level_counts_[5] = {};
-  std::vector<uint64_t> entries_;
-};
 
 }  // namespace
 
@@ -383,11 +426,8 @@ Label::Label(std::initializer_list<std::pair<Handle, Level>> entries, Level defa
 
 Level Label::default_level() const { return rep_->default_level; }
 size_t Label::entry_count() const {
-  size_t n = 0;
-  for (const Chunk* c : rep_->chunks) {
-    n += c->size;
-  }
-  return n;
+  const uint64_t* n = rep_->level_counts;
+  return n[0] + n[1] + n[2] + n[3] + n[4];
 }
 Level Label::min_level() const { return rep_->min_level; }
 Level Label::max_level() const { return rep_->max_level; }
@@ -541,6 +581,7 @@ void Label::Set(Handle h, Level l) {
     Chunk* c = slot;
     g_work.entries_visited += c->size;
     rep->level_counts[LevelOrdinal(EntryLevel(c->entries[pos]))] -= 1;
+    rep->struct_hash -= internal::InternHashTerm(c->entries[pos]);
     if (l == rep->default_level) {
       std::memmove(&c->entries[pos], &c->entries[pos + 1],
                    (c->size - pos - 1) * sizeof(uint64_t));
@@ -554,6 +595,7 @@ void Label::Set(Handle h, Level l) {
     } else {
       rep->level_counts[LevelOrdinal(l)] += 1;
       c->entries[pos] = PackEntry(h, l);
+      rep->struct_hash += internal::InternHashTerm(c->entries[pos]);
       internal::RecomputeChunkExtrema(c);
     }
     internal::RecomputeRepExtrema(rep);
@@ -562,6 +604,7 @@ void Label::Set(Handle h, Level l) {
 
   // Insertion path.
   rep->level_counts[LevelOrdinal(l)] += 1;
+  rep->struct_hash += internal::InternHashTerm(PackEntry(h, l));
   if (rep->chunks.empty()) {
     Chunk* c = internal::NewChunk(internal::kChunkMinCapacity);
     c->entries[0] = PackEntry(h, l);
@@ -739,25 +782,27 @@ Label Label::Lub(const Label& a, const Label& b) {
     }
   }
   const Level def = LevelMax(ra->default_level, rb->default_level);
-  internal::RepBuilder out(def);
+  LabelBuilder out(def);
   internal::Cursor ca(ra);
   internal::Cursor cb(rb);
   while (!ca.done() || !cb.done()) {
     g_work.entries_visited += 1;
     if (cb.done() || (!ca.done() && EntryHandle(ca.entry()) < EntryHandle(cb.entry()))) {
-      out.Append(EntryHandle(ca.entry()), LevelMax(EntryLevel(ca.entry()), rb->default_level));
+      out.AppendUnlessDefault(EntryHandle(ca.entry()),
+                              LevelMax(EntryLevel(ca.entry()), rb->default_level));
       ca.Advance();
     } else if (ca.done() || EntryHandle(cb.entry()) < EntryHandle(ca.entry())) {
-      out.Append(EntryHandle(cb.entry()), LevelMax(EntryLevel(cb.entry()), ra->default_level));
+      out.AppendUnlessDefault(EntryHandle(cb.entry()),
+                              LevelMax(EntryLevel(cb.entry()), ra->default_level));
       cb.Advance();
     } else {
-      out.Append(EntryHandle(ca.entry()),
-                 LevelMax(EntryLevel(ca.entry()), EntryLevel(cb.entry())));
+      out.AppendUnlessDefault(EntryHandle(ca.entry()),
+                              LevelMax(EntryLevel(ca.entry()), EntryLevel(cb.entry())));
       ca.Advance();
       cb.Advance();
     }
   }
-  return Label(out.Finish());
+  return out.Build();
 }
 
 Label Label::Glb(const Label& a, const Label& b) {
@@ -788,25 +833,27 @@ Label Label::Glb(const Label& a, const Label& b) {
     }
   }
   const Level def = LevelMin(ra->default_level, rb->default_level);
-  internal::RepBuilder out(def);
+  LabelBuilder out(def);
   internal::Cursor ca(ra);
   internal::Cursor cb(rb);
   while (!ca.done() || !cb.done()) {
     g_work.entries_visited += 1;
     if (cb.done() || (!ca.done() && EntryHandle(ca.entry()) < EntryHandle(cb.entry()))) {
-      out.Append(EntryHandle(ca.entry()), LevelMin(EntryLevel(ca.entry()), rb->default_level));
+      out.AppendUnlessDefault(EntryHandle(ca.entry()),
+                              LevelMin(EntryLevel(ca.entry()), rb->default_level));
       ca.Advance();
     } else if (ca.done() || EntryHandle(cb.entry()) < EntryHandle(ca.entry())) {
-      out.Append(EntryHandle(cb.entry()), LevelMin(EntryLevel(cb.entry()), ra->default_level));
+      out.AppendUnlessDefault(EntryHandle(cb.entry()),
+                              LevelMin(EntryLevel(cb.entry()), ra->default_level));
       cb.Advance();
     } else {
-      out.Append(EntryHandle(ca.entry()),
-                 LevelMin(EntryLevel(ca.entry()), EntryLevel(cb.entry())));
+      out.AppendUnlessDefault(EntryHandle(ca.entry()),
+                              LevelMin(EntryLevel(ca.entry()), EntryLevel(cb.entry())));
       ca.Advance();
       cb.Advance();
     }
   }
-  return Label(out.Finish());
+  return out.Build();
 }
 
 Label Label::StarsOnly() const {
@@ -818,7 +865,7 @@ Label Label::StarsOnly() const {
     g_work.fast_path_hits += 1;
     return Label(def);
   }
-  internal::RepBuilder out(def);
+  LabelBuilder out(def);
   internal::Cursor c(rep);
   while (!c.done()) {
     g_work.entries_visited += 1;
@@ -835,7 +882,7 @@ Label Label::StarsOnly() const {
     }
     c.Advance();
   }
-  return Label(out.Finish());
+  return out.Build();
 }
 
 bool Label::Equals(const Label& other) const {
@@ -851,49 +898,7 @@ bool Label::Equals(const Label& other) const {
   if (a->interned && b->interned) {
     return false;
   }
-  if (a->default_level != b->default_level || a->min_level != b->min_level ||
-      a->max_level != b->max_level) {
-    return false;
-  }
-  for (int i = 0; i < 5; ++i) {
-    if (a->level_counts[i] != b->level_counts[i]) {
-      return false;
-    }
-  }
-  // Entry walk with whole-chunk skipping: a COW clone that diverged in one
-  // chunk still shares the others, and pointer-identical chunks at a chunk
-  // boundary are equal without touching their entries.
-  size_t ai = 0;
-  size_t bi = 0;
-  uint16_t aj = 0;
-  uint16_t bj = 0;
-  const auto& achunks = a->chunks;
-  const auto& bchunks = b->chunks;
-  for (;;) {
-    while (ai < achunks.size() && aj >= achunks[ai]->size) {
-      ++ai;
-      aj = 0;
-    }
-    while (bi < bchunks.size() && bj >= bchunks[bi]->size) {
-      ++bi;
-      bj = 0;
-    }
-    const bool a_done = ai >= achunks.size();
-    const bool b_done = bi >= bchunks.size();
-    if (a_done || b_done) {
-      return a_done && b_done;
-    }
-    if (aj == 0 && bj == 0 && achunks[ai] == bchunks[bi]) {
-      ++ai;
-      ++bi;
-      continue;
-    }
-    if (achunks[ai]->entries[aj] != bchunks[bi]->entries[bj]) {
-      return false;
-    }
-    ++aj;
-    ++bj;
-  }
+  return internal::SameContent(a, b);
 }
 
 void Label::JoinInPlace(const Label& other) {
@@ -932,34 +937,16 @@ void Label::Canonicalize() {
   if (rep->interned) {
     return;  // already canonical (or a shared default singleton)
   }
-  std::vector<uint64_t> entries;
-  entries.reserve(entry_count());
-  internal::Cursor c(rep);
-  while (!c.done()) {
-    entries.push_back(c.entry());
-    c.Advance();
-  }
-  if (entries.empty()) {
+  if (rep->chunks.empty()) {
     rep_ = internal::SharedDefaultRep(rep->default_level);
     return;
   }
-  const uint64_t hash = internal::InternHashEntries(
-      LevelOrdinal(rep->default_level), entries.data(), entries.size());
-  const internal::FlatMatchCtx ctx{rep->default_level, entries.data(), entries.size(),
-                                   rep->level_counts};
   if (internal::LabelRep* canonical =
-          internal::InternLookup(hash, internal::MatchRepAgainstFlat, &ctx)) {
-    internal::InternNoteDedup(internal::RepHeapBytes(canonical));
-    ++canonical->refcount;
-    rep_ = internal::LabelRepRef(canonical);  // drops the private rep
+          internal::InternLookup(rep->struct_hash, internal::MatchRepAgainstRep, rep)) {
+    rep_ = internal::ShareCanonical(canonical);  // drops the private rep
     return;
   }
-  // No live twin: this very rep becomes the canonical one — no copy, just
-  // the immutability promise (future mutations clone, per MutableRep).
-  rep->struct_hash = hash;
-  rep->interned = true;
-  rep->in_table = true;
-  internal::InternInsert(hash, rep);
+  internal::RegisterCanonical(rep);
 }
 
 Label::EntryIter::EntryIter(const internal::LabelRep* rep) : rep_(rep) { SkipToValid(); }
@@ -1159,14 +1146,17 @@ void Label::CheckRep() const {
   ASB_ASSERT(rep->min_level == lo);
   ASB_ASSERT(rep->max_level == hi);
   uint64_t counts[5] = {};
+  uint64_t hash = internal::InternHashSeed(LevelOrdinal(rep->default_level));
   for (const Chunk* c : rep->chunks) {
     for (uint16_t i = 0; i < c->size; ++i) {
       counts[LevelOrdinal(EntryLevel(c->entries[i]))] += 1;
+      hash += internal::InternHashTerm(c->entries[i]);
     }
   }
   for (int i = 0; i < 5; ++i) {
     ASB_ASSERT(rep->level_counts[i] == counts[i]);
   }
+  ASB_ASSERT(rep->struct_hash == hash && "maintained structural hash is stale");
 }
 
 }  // namespace asbestos

@@ -110,7 +110,7 @@ class Label {
   Level default_level() const;
   Level Get(Handle h) const;      // L(h), falling back to the default
   bool HasExplicit(Handle h) const;
-  size_t entry_count() const;
+  size_t entry_count() const;  // O(1): sum of the level histogram
   // Cached extrema over the default level and all explicit entries.
   Level min_level() const;
   Level max_level() const;
@@ -161,7 +161,10 @@ class Label {
   // a live extensionally-equal canonical rep is shared, otherwise this
   // label's own rep is registered as canonical. Afterwards rep_id() is the
   // stable content id every other canonical construction of this content
-  // yields. O(entry count); invisible to LabelWorkStats like all interning.
+  // yields. The rep's structural hash is maintained incrementally, so a miss
+  // costs O(1); a bucket hit adds one structural compare, which skips
+  // chunks the two reps share. Invisible to LabelWorkStats like all
+  // interning.
   void Canonicalize();
 
   friend bool operator==(const Label& a, const Label& b) { return a.Equals(b); }
@@ -218,14 +221,6 @@ class Label {
 
   NonStarIter IterateNonStarEntries() const;
 
-  // Visits explicit entries in increasing handle order.
-  template <typename Fn>
-  void ForEachEntry(Fn&& fn) const {
-    for (const auto& [h, l] : Entries()) {
-      fn(h, l);
-    }
-  }
-
   // Heap bytes attributable to this label (rep + chunks, shared chunks
   // counted in full). The smallest label is roughly 300 bytes (§5.6).
   uint64_t heap_bytes() const;
@@ -266,6 +261,12 @@ class LabelBuilder {
   explicit LabelBuilder(Level default_level) : default_level_(default_level) {}
 
   void Append(Handle h, Level l);
+  // Append, dropping an entry at the default level (Lub/Glb merge output).
+  void AppendUnlessDefault(Handle h, Level l) {
+    if (l != default_level_) {
+      Append(h, l);
+    }
+  }
 
   // Grows the internal buffer ahead of `n` further Appends.
   void Reserve(size_t n) { entries_.reserve(entries_.size() + n); }

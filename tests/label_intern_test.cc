@@ -5,6 +5,10 @@
 // never corrupt a canonical rep or resurrect a stale id.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <memory>
+#include <tuple>
 #include <vector>
 
 #include "src/base/rng.h"
@@ -177,6 +181,194 @@ TEST_P(LabelInternPropertyTest, EqualsFastPathsAgreeWithEntryWalk) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LabelInternPropertyTest,
                          ::testing::Values(2ULL, 11ULL, 77ULL, 4096ULL, 123456789ULL));
+
+// --- Maintained structural hash --------------------------------------------
+// Every rep carries its additive structural hash (intern.h), updated by Set
+// and copied by COW clones; CheckRep recomputes it. These walks drive random
+// histories through every mutation path and check, after each step, that
+// the hash is exact and that Canonicalize lands on the same canonical rep a
+// flat LabelBuilder construction of the same content does.
+
+// Reference model: a default level plus explicit entries.
+struct LabelModel {
+  Level def = Level::kL1;
+  std::map<uint64_t, Level> entries;
+
+  Level Get(uint64_t h) const {
+    auto it = entries.find(h);
+    return it == entries.end() ? def : it->second;
+  }
+  void Set(uint64_t h, Level l) {
+    if (l == def) {
+      entries.erase(h);
+    } else {
+      entries[h] = l;
+    }
+  }
+  static LabelModel Merge(const LabelModel& a, const LabelModel& b, bool join) {
+    const auto pick = [join](Level x, Level y) { return join ? LevelMax(x, y) : LevelMin(x, y); };
+    LabelModel out;
+    out.def = pick(a.def, b.def);
+    for (const auto* side : {&a, &b}) {
+      for (const auto& [h, l] : side->entries) {
+        out.Set(h, pick(a.Get(h), b.Get(h)));
+      }
+    }
+    return out;
+  }
+};
+
+Label RebuildFlat(const Label& label) {
+  LabelBuilder builder(label.default_level());
+  for (Label::EntryIter it = label.IterateEntries(); !it.done(); it.Advance()) {
+    builder.Append(it.handle(), it.level());
+  }
+  return builder.Build();
+}
+
+class LabelHashWalkTest : public ::testing::TestWithParam<uint64_t> {
+ protected:
+  static constexpr uint64_t kHandlePool = 6000;
+  static constexpr size_t kMaxEntries = 5000;
+
+  void SetUp() override { rng_ = std::make_unique<Rng>(GetParam()); }
+
+  Level RandomLevel() { return static_cast<Level>(rng_->NextBelow(5)); }
+
+  // A random operand: small (the asymmetric merge paths) or up to 5,000
+  // entries, built through the flat builder or through Set.
+  std::pair<Label, LabelModel> RandomOperand() {
+    LabelModel model;
+    model.def = RandomLevel();
+    const uint64_t n = rng_->NextBool() ? rng_->NextBelow(25) : rng_->NextBelow(kMaxEntries + 1);
+    // Distinct handles spread over the pool, none at the default level.
+    const uint64_t stride = std::max<uint64_t>(1, kHandlePool / std::max<uint64_t>(n, 1));
+    uint64_t h = rng_->NextInRange(1, stride);
+    for (uint64_t i = 0; i < n && h <= kHandlePool; ++i, h += rng_->NextInRange(1, stride)) {
+      model.Set(h, static_cast<Level>((LevelOrdinal(model.def) + rng_->NextInRange(1, 4)) % 5));
+    }
+    if (rng_->NextBool()) {
+      LabelBuilder builder(model.def);
+      for (const auto& [h, l] : model.entries) {
+        builder.Append(Handle::FromValue(h), l);
+      }
+      return {builder.Build(), model};
+    }
+    Label label(model.def);
+    for (const auto& [h, l] : model.entries) {
+      label.Set(Handle::FromValue(h), l);
+    }
+    return {label, model};
+  }
+
+  static void ExpectMatchesModel(const Label& label, const LabelModel& model) {
+    ASSERT_EQ(label.default_level(), model.def);
+    ASSERT_EQ(label.entry_count(), model.entries.size());
+    auto it = model.entries.begin();
+    for (Label::EntryIter e = label.IterateEntries(); !e.done(); e.Advance(), ++it) {
+      ASSERT_EQ(e.handle().value(), it->first);
+      ASSERT_EQ(e.level(), it->second);
+    }
+  }
+
+  // Canonicalizes a copy: charged work and bulk hashing must not move, and
+  // the result must be the rep a flat build of the same content shares.
+  static void ExpectCanonicalAgrees(const Label& label) {
+    Label copy = label;
+    const LabelWorkStats work = GetLabelWorkStats();
+    const uint64_t hashed = GetLabelInternStats().entries_hashed;
+    copy.Canonicalize();
+    EXPECT_EQ(GetLabelWorkStats().ops, work.ops);
+    EXPECT_EQ(GetLabelWorkStats().entries_visited, work.entries_visited);
+    EXPECT_EQ(GetLabelWorkStats().fast_path_hits, work.fast_path_hits);
+    EXPECT_EQ(GetLabelInternStats().entries_hashed, hashed) << "Canonicalize re-hashed entries";
+    copy.CheckRep();
+    EXPECT_TRUE(copy.rep_canonical());
+    EXPECT_TRUE(copy.Equals(label));
+    EXPECT_EQ(copy.rep_id(), RebuildFlat(label).rep_id());
+    if (label.entry_count() == 0) {
+      EXPECT_EQ(copy.rep_id(), Label(label.default_level()).rep_id());
+    }
+  }
+
+  std::unique_ptr<Rng> rng_;
+};
+
+TEST_P(LabelHashWalkTest, HashStaysExactAcrossRandomHistories) {
+  auto [cur, model] = RandomOperand();
+  size_t max_seen = 0;
+  int emptied = 0;
+  int set_into_big = 0;
+  for (int step = 0; step < 200; ++step) {
+    const uint64_t op = rng_->NextBelow(8);
+    if (op <= 1) {
+      // Set burst: inserts, overwrites and removals (setting the default).
+      if (cur.entry_count() > 64) {
+        ++set_into_big;  // inserts into packed 64-entry chunks split them
+      }
+      const uint64_t n = rng_->NextInRange(1, 120);
+      for (uint64_t i = 0; i < n; ++i) {
+        const uint64_t h = rng_->NextInRange(1, kHandlePool);
+        const Level l = rng_->NextBelow(3) == 0 ? model.def : RandomLevel();
+        cur.Set(Handle::FromValue(h), l);
+        model.Set(h, l);
+      }
+    } else if (op == 2) {
+      // Empty the label back to its default, one removal at a time.
+      emptied += model.entries.empty() ? 0 : 1;
+      for (const auto& [h, l] : model.entries) {
+        cur.Set(Handle::FromValue(h), model.def);
+      }
+      model.entries.clear();
+    } else if (op == 7) {
+      std::tie(cur, model) = RandomOperand();  // fresh start, fresh default
+    } else {
+      const auto [other, other_model] = RandomOperand();
+      const bool join = op == 3 || op == 5;
+      if (op == 3) {
+        cur.JoinInPlace(other);
+      } else if (op == 4) {
+        cur.MeetInPlace(other);
+      } else if (op == 5) {
+        cur = Label::Lub(cur, other);
+      } else {
+        cur = Label::Glb(cur, other);
+      }
+      model = LabelModel::Merge(model, other_model, join);
+    }
+    max_seen = std::max(max_seen, cur.entry_count());
+    cur.CheckRep();
+    ExpectMatchesModel(cur, model);
+    if (rng_->NextBool()) {
+      // Half the time: leave the rep private so later Sets mutate in place.
+      ExpectCanonicalAgrees(cur);
+    }
+    if (::testing::Test::HasFailure()) {
+      FAIL() << "seed " << GetParam() << " step " << step << " op " << op;
+    }
+  }
+  // The walk must actually cover the shapes it claims to.
+  EXPECT_GE(max_seen, 4000u);
+  EXPECT_GE(emptied, 1);
+  EXPECT_GE(set_into_big, 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LabelHashWalkTest, ::testing::Values(3ULL, 29ULL, 2718ULL));
+
+TEST(LabelInternTest, CanonicalizeHashesNoEntries) {
+  Label l(Level::kL1);
+  for (uint64_t i = 1; i <= 3000; ++i) {
+    l.Set(Handle::FromValue(i * 5), i % 2 == 0 ? Level::kStar : Level::kL3);
+  }
+  const uint64_t hashed = GetLabelInternStats().entries_hashed;
+  l.Canonicalize();
+  EXPECT_EQ(GetLabelInternStats().entries_hashed, hashed);
+  EXPECT_TRUE(l.rep_canonical());
+  // The flat path hashes each entry once and lands on the same rep.
+  const Label twin = RebuildFlat(l);
+  EXPECT_EQ(GetLabelInternStats().entries_hashed, hashed + 3000);
+  EXPECT_EQ(twin.rep_id(), l.rep_id());
+}
 
 TEST(LabelInternTest, DedupCountersAndMemory) {
   ResetLabelInternStats();

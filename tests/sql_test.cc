@@ -190,6 +190,116 @@ TEST_F(SqlEngineTest, NullHandling) {
   EXPECT_TRUE(r->rows[0][0].is_null());
 }
 
+// --- Full-scan predicate matrix -----------------------------------------------
+// Pins each predicate shape's result set AND rows_visited (the OKDB charge):
+// the executor compares values in place, but what it matches and how many
+// rows it touches must not move.
+
+// Names of the rows a SELECT returned, in order.
+std::vector<std::string> Names(const QueryResult& r) {
+  std::vector<std::string> out;
+  for (const auto& row : r.rows) {
+    out.push_back(row[0].AsText());
+  }
+  return out;
+}
+
+using Strings = std::vector<std::string>;
+
+TEST_F(SqlEngineTest, ScanTextEqualsText) {
+  ASSERT_TRUE(db_.Execute("INSERT INTO t (name, score) VALUES ('bobby', 1), ('Bob', 2)").ok());
+  auto r = db_.Execute("SELECT name FROM t WHERE name = 'bob'");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(Names(*r), (Strings{"bob", "bob"})) << "no prefix or case folding";
+  EXPECT_EQ(r->rows_visited, 6u);
+  // Ordering is bytewise: uppercase sorts before lowercase, a prefix before
+  // its extensions, and UTF-8 lead bytes (>= 0x80) after ASCII.
+  ASSERT_TRUE(db_.Execute("INSERT INTO t (name, score) VALUES ('\xc3\xa9t\xc3\xa9', 3)").ok());
+  r = db_.Execute("SELECT name FROM t WHERE name < 'bob'");
+  EXPECT_EQ(Names(*r), (Strings{"alice", "Bob"}));
+  EXPECT_EQ(r->rows_visited, 7u);
+  r = db_.Execute("SELECT name FROM t WHERE name > 'z'");
+  EXPECT_EQ(Names(*r), (Strings{"\xc3\xa9t\xc3\xa9"}));
+  r = db_.Execute("SELECT name FROM t WHERE name > 'bob' AND name < 'c'");
+  EXPECT_EQ(Names(*r), (Strings{"bobby"}));
+}
+
+TEST_F(SqlEngineTest, ScanIntEqualsInt) {
+  auto r = db_.Execute("SELECT name FROM t WHERE score = 25");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(Names(*r), (Strings{"bob"}));
+  EXPECT_EQ(r->rows_visited, 4u);
+  r = db_.Execute("SELECT name FROM t WHERE score >= -5");
+  EXPECT_EQ(r->rows.size(), 4u) << "numeric, not textual, ordering";
+  EXPECT_EQ(r->rows_visited, 4u);
+}
+
+TEST_F(SqlEngineTest, ScanMixedIntTextComparesTextualForm) {
+  // An INTEGER column against a text literal compares decimal text.
+  auto r = db_.Execute("SELECT name FROM t WHERE score = '20'");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(Names(*r), (Strings{"bob"}));
+  EXPECT_EQ(r->rows_visited, 4u);
+  r = db_.Execute("SELECT name FROM t WHERE score < '3'");
+  EXPECT_EQ(Names(*r), (Strings{"alice", "bob", "bob"})) << "\"25\" < \"3\" textually";
+  // And a TEXT column against an integer literal: digits sort before letters.
+  r = db_.Execute("SELECT name FROM t WHERE name > 5");
+  EXPECT_EQ(r->rows.size(), 4u);
+  r = db_.Execute("SELECT name FROM t WHERE name = 5");
+  EXPECT_TRUE(r->rows.empty());
+  EXPECT_EQ(r->rows_visited, 4u);
+}
+
+TEST_F(SqlEngineTest, ScanNullOrdersFirst) {
+  ASSERT_TRUE(db_.Execute("INSERT INTO t (name, score) VALUES ('dave', NULL)").ok());
+  auto r = db_.Execute("SELECT name FROM t WHERE score < 0");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(Names(*r), (Strings{"dave"})) << "NULL is below every value";
+  EXPECT_EQ(r->rows_visited, 5u);
+  r = db_.Execute("SELECT name FROM t WHERE score = NULL");
+  EXPECT_EQ(Names(*r), (Strings{"dave"})) << "NULL equals only NULL";
+  r = db_.Execute("SELECT name FROM t WHERE score != NULL");
+  EXPECT_EQ(r->rows.size(), 4u);
+  r = db_.Execute("SELECT name FROM t ORDER BY score");
+  EXPECT_EQ(Names(*r), (Strings{"dave", "alice", "bob", "bob", "carol"}));
+}
+
+TEST_F(SqlEngineTest, ScanTwoColumnPredicate) {
+  auto r = db_.Execute("SELECT score FROM t WHERE name = 'bob' AND score > 20");
+  ASSERT_TRUE(r.ok());
+  ASSERT_EQ(r->rows.size(), 1u);
+  EXPECT_EQ(r->rows[0][0].AsInt(), 25);
+  EXPECT_EQ(r->rows_visited, 4u);
+  // The same predicates through an index: only the indexed name's rows are
+  // visited, and the second column still filters them.
+  ASSERT_TRUE(db_.Execute("CREATE INDEX byname ON t (name)").ok());
+  r = db_.Execute("SELECT score FROM t WHERE score > 20 AND name = 'bob'");
+  ASSERT_EQ(r->rows.size(), 1u);
+  EXPECT_EQ(r->rows[0][0].AsInt(), 25);
+  EXPECT_EQ(r->rows_visited, 2u);
+  EXPECT_EQ(r->index_probes, 1u);
+}
+
+TEST_F(SqlEngineTest, ScanUnknownColumnMatchesNothing) {
+  // SELECT rejects unknown WHERE columns up front; UPDATE and DELETE reach
+  // the scan, which still visits (and charges) every row but matches none.
+  auto r = db_.Execute("UPDATE t SET score = 0 WHERE bogus = 1");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->rows_affected, 0u);
+  EXPECT_EQ(r->rows_visited, 4u);
+  r = db_.Execute("DELETE FROM t WHERE name = 'bob' AND bogus = 1");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->rows_affected, 0u);
+  EXPECT_EQ(r->rows_visited, 4u);
+  // Through an index: the probe's rows are visited, none match.
+  ASSERT_TRUE(db_.Execute("CREATE INDEX byname ON t (name)").ok());
+  r = db_.Execute("DELETE FROM t WHERE name = 'bob' AND bogus = 1");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->rows_affected, 0u);
+  EXPECT_EQ(r->rows_visited, 2u);
+  EXPECT_EQ(db_.Execute("SELECT * FROM t")->rows.size(), 4u);
+}
+
 TEST(SqlValueTest, CompareSemantics) {
   EXPECT_EQ(SqlValue(int64_t{5}).Compare(SqlValue(int64_t{5})), 0);
   EXPECT_LT(SqlValue(int64_t{-1}).Compare(SqlValue(int64_t{1})), 0);
